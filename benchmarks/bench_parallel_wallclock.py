@@ -1,38 +1,20 @@
-"""Wall-clock parallel speedup benchmark; emits BENCH_parallel.json.
+"""Parallel-simulation wall-clock benchmark; emits BENCH_parallel.json.
 
 Standalone (not a pytest-benchmark module) so CI can run it as a smoke step::
 
     PYTHONPATH=src python benchmarks/bench_parallel_wallclock.py --smoke --check
 
 Measures, for the parallel bitonic sort and Algorithms 2-6, the wall-clock
-time of the sequential cluster simulation against the multiprocess
-:class:`~repro.parallel.executor.ClusterExecutor` at several worker counts,
-verifying on every run that the executor is *observationally identical* to
-the simulation: same per-coprocessor trace fingerprints, same results, and a
-data-independent (privacy-accepted) access pattern.
+time of the sequential cluster simulation and its modelled speedup (total
+transfers over the busiest coprocessor's).  Every section also runs the
+simulation with batched I/O disabled (``batched_io=False`` on every
+coprocessor): the vectorized hot path must be trace-identical to the scalar
+one, and its wall-clock win is reported as ``batched_vs_scalar``.  A
+privacy section runs every algorithm on two data families of equal shape
+and requires identical per-device traces.
 
-Every section also measures the sequential simulation with batched I/O
-disabled (``batched_io=False`` on every coprocessor): the vectorized hot
-path must be trace-identical to the scalar one, and its wall-clock win is
-reported as ``batched_vs_scalar``.  The worker runs use the production
-configuration (batching on, in the parent and in every pool worker).
-
-Honesty notes recorded in the JSON:
-
-* ``host_cpus`` — ``os.cpu_count()`` where the numbers were produced.  On a
-  single-CPU machine process parallelism cannot beat the sequential run, so
-  ``--check`` only enforces the speedup thresholds when at least two CPUs
-  are present; the identity and privacy checks are enforced everywhere.
-* ``--check`` fails when the P=2 sort speedup drops under ``--min-speedup``
-  (default 1.2), when any section's P=2/P=4 speedup drops under
-  ``--floor-speedup`` (default 1.0 — parallelism must never *lose* to the
-  sequential run on a multi-CPU host), or, with four or more CPUs, when no
-  algorithm reaches ``--target-speedup`` (default 1.5) at P=4.
-
-Each worker entry also records the executor's IPC accounting
-(``bytes_shared`` mapped through shared-memory arenas vs ``bytes_pickled``
-through the pickle channel, plus ``tasks_submitted``/``flushes``) so a
-regression back toward pickled whole-shard transfers is visible in the JSON.
+``--check`` fails on a batched/scalar divergence or a data-dependent trace.
+``host_cpus`` records ``os.cpu_count()`` where the numbers were produced.
 """
 
 from __future__ import annotations
@@ -56,14 +38,13 @@ from repro.core.parallel import (
 )
 from repro.crypto.provider import FastProvider, OcbProvider
 from repro.hardware.cluster import Cluster
-from repro.parallel import ClusterExecutor, wallclock_oblivious_sort
 from repro.oblivious.parallel_sort import parallel_oblivious_sort
 from repro.relational.generate import equijoin_workload
 from repro.relational.predicates import BinaryAsMulti, Equality
 
 KEY = b"bench-parallel-wallclock-key"
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "results" / "BENCH_parallel.json"
-WORKER_COUNTS = (1, 2, 4)
+ALGORITHMS = ("algorithm2", "algorithm3", "algorithm4", "algorithm5", "algorithm6")
 
 
 def make_provider(name: str):
@@ -100,17 +81,8 @@ def fingerprints(cluster):
     return [t.trace.fingerprint() for t in cluster]
 
 
-def executor_counters(executor) -> dict:
-    return {
-        "bytes_shared": executor.bytes_shared,
-        "bytes_pickled": executor.bytes_pickled,
-        "tasks_submitted": executor.tasks_submitted,
-        "flushes": executor.flushes,
-    }
-
-
 def bench_sort(size: int, provider_name: str, processors: int = 4) -> dict:
-    """Sequential simulation vs executor wall clock for the parallel sort."""
+    """Batched vs scalar wall clock of the simulated parallel sort."""
     values = random.Random(7).sample(range(1 << 30), size)
 
     _, cluster = rig(processors, provider_name, batched=False)
@@ -125,26 +97,6 @@ def bench_sort(size: int, provider_name: str, processors: int = 4) -> dict:
     seq_seconds, seq_report = _timed(
         lambda: parallel_oblivious_sort(cluster, "R", size, int_key)
     )
-    seq_prints = fingerprints(cluster)
-
-    runs = {}
-    for workers in WORKER_COUNTS:
-        _, cluster = rig(processors, provider_name)
-        load_values(cluster, values)
-        with ClusterExecutor(workers=workers) as executor:
-            seconds, report = _timed(lambda: wallclock_oblivious_sort(
-                executor, cluster, "R", size, int_key
-            ))
-            counters = executor_counters(executor)
-        identical = (
-            report == seq_report and fingerprints(cluster) == seq_prints
-        )
-        runs[str(workers)] = {
-            "seconds": round(seconds, 4),
-            "speedup": round(seq_seconds / seconds, 3) if seconds else None,
-            "identical_to_sequential": identical,
-            **counters,
-        }
     return {
         "size": size,
         "cluster_processors": processors,
@@ -152,78 +104,53 @@ def bench_sort(size: int, provider_name: str, processors: int = 4) -> dict:
         "scalar_sequential_seconds": round(scalar_seconds, 4),
         "batched_vs_scalar": round(scalar_seconds / seq_seconds, 2)
         if seq_seconds else None,
-        "batched_identical_to_scalar": seq_prints == scalar_prints,
+        "batched_identical_to_scalar": fingerprints(cluster) == scalar_prints,
         "modeled_speedup": round(seq_report.speedup, 2),
-        "workers": runs,
     }
 
 
-def _join_case(name: str, sizes: tuple[int, int], memory: int):
-    wl = equijoin_workload(sizes[0], sizes[1], max(2, sizes[0] // 4),
-                           rng=random.Random(41))
+def run_algorithm(name: str, context, cluster, wl, n_max: int, memory: int):
+    """One parallel join; ``n_max``/``memory`` are public shape parameters."""
     predicate = BinaryAsMulti(Equality("key"))
+    tables = [wl.left, wl.right]
     if name == "algorithm2":
-        return lambda context, cluster, executor=None: parallel_algorithm2(
-            context, cluster, wl.left, wl.right, Equality("key"),
-            n_max=wl.max_matches, memory=memory, executor=executor,
-        )
+        return parallel_algorithm2(context, cluster, wl.left, wl.right,
+                                   Equality("key"), n_max=n_max,
+                                   memory=memory)
     if name == "algorithm3":
-        return lambda context, cluster, executor=None: parallel_algorithm3(
-            context, cluster, wl.left, wl.right, "key",
-            n_max=wl.max_matches, executor=executor,
-        )
+        return parallel_algorithm3(context, cluster, wl.left, wl.right, "key",
+                                   n_max=n_max)
     if name == "algorithm4":
-        return lambda context, cluster, executor=None: parallel_algorithm4(
-            context, cluster, [wl.left, wl.right], predicate,
-            executor=executor,
-        )
+        return parallel_algorithm4(context, cluster, tables, predicate)
     if name == "algorithm5":
-        return lambda context, cluster, executor=None: parallel_algorithm5(
-            context, cluster, [wl.left, wl.right], predicate,
-            memory=memory, executor=executor,
-        )
-    return lambda context, cluster, executor=None: parallel_algorithm6(
-        context, cluster, [wl.left, wl.right], predicate,
-        memory=memory, seed=5, executor=executor,
-    )
+        return parallel_algorithm5(context, cluster, tables, predicate,
+                                   memory=memory)
+    return parallel_algorithm6(context, cluster, tables, predicate,
+                               memory=memory, seed=5)
 
 
 def bench_join(name: str, sizes: tuple[int, int], memory: int,
                provider_name: str, processors: int = 4) -> dict:
-    run_join = _join_case(name, sizes, memory)
+    wl = equijoin_workload(sizes[0], sizes[1], max(2, sizes[0] // 4),
+                           rng=random.Random(41))
 
     context, cluster = rig(processors, provider_name, batched=False)
-    scalar_seconds, scalar_out = _timed(lambda: run_join(context, cluster))
+    scalar_seconds, scalar_out = _timed(
+        lambda: run_algorithm(name, context, cluster, wl, wl.max_matches,
+                              memory)
+    )
     scalar_prints = fingerprints(cluster)
 
     context, cluster = rig(processors, provider_name)
-    seq_seconds, seq_out = _timed(lambda: run_join(context, cluster))
-    seq_prints = fingerprints(cluster)
+    seq_seconds, seq_out = _timed(
+        lambda: run_algorithm(name, context, cluster, wl, wl.max_matches,
+                              memory)
+    )
     batched_identical = (
-        seq_prints == scalar_prints
+        fingerprints(cluster) == scalar_prints
         and seq_out.result.same_multiset(scalar_out.result)
         and seq_out.makespan_transfers == scalar_out.makespan_transfers
     )
-
-    runs = {}
-    for workers in WORKER_COUNTS:
-        context, cluster = rig(processors, provider_name)
-        with ClusterExecutor(workers=workers) as executor:
-            seconds, out = _timed(
-                lambda: run_join(context, cluster, executor=executor)
-            )
-            counters = executor_counters(executor)
-        identical = (
-            out.result.same_multiset(seq_out.result)
-            and fingerprints(cluster) == seq_prints
-            and out.makespan_transfers == seq_out.makespan_transfers
-        )
-        runs[str(workers)] = {
-            "seconds": round(seconds, 4),
-            "speedup": round(seq_seconds / seconds, 3) if seconds else None,
-            "identical_to_sequential": identical,
-            **counters,
-        }
     return {
         "left": sizes[0],
         "right": sizes[1],
@@ -235,45 +162,21 @@ def bench_join(name: str, sizes: tuple[int, int], memory: int,
         if seq_seconds else None,
         "batched_identical_to_scalar": batched_identical,
         "modeled_speedup": round(seq_out.speedup, 2),
-        "workers": runs,
     }
 
 
 def check_privacy(provider_name: str, processors: int = 2) -> dict:
-    """Per-device traces under the executor must be data-independent."""
+    """Per-device simulated traces must not depend on the data."""
     verdicts = {}
-    with ClusterExecutor(workers=2) as executor:
-        for name in ("algorithm2", "algorithm3", "algorithm4",
-                     "algorithm5", "algorithm6"):
-            observed = []
-            for seed in (301, 302):
-                wl = equijoin_workload(8, 8, 4, rng=random.Random(seed))
-                predicate = BinaryAsMulti(Equality("key"))
-                context, cluster = rig(processors, provider_name)
-                if name == "algorithm2":
-                    # n_max/memory fixed across data families: public shape
-                    # parameters the trace may legitimately depend on.
-                    parallel_algorithm2(context, cluster, wl.left, wl.right,
-                                        Equality("key"), n_max=4, memory=4,
-                                        executor=executor)
-                elif name == "algorithm3":
-                    # n_max fixed across data families: it is a public shape
-                    # parameter, and the trace may legitimately depend on it.
-                    parallel_algorithm3(context, cluster, wl.left, wl.right,
-                                        "key", n_max=4, executor=executor)
-                elif name == "algorithm4":
-                    parallel_algorithm4(context, cluster,
-                                        [wl.left, wl.right], predicate,
-                                        executor=executor)
-                elif name == "algorithm5":
-                    parallel_algorithm5(context, cluster, [wl.left, wl.right],
-                                        predicate, memory=4, executor=executor)
-                else:
-                    parallel_algorithm6(context, cluster, [wl.left, wl.right],
-                                        predicate, memory=4, seed=5,
-                                        executor=executor)
-                observed.append([list(t.trace.events) for t in cluster])
-            verdicts[name] = observed[0] == observed[1]
+    for name in ALGORITHMS:
+        observed = []
+        for seed in (301, 302):
+            wl = equijoin_workload(8, 8, 4, rng=random.Random(seed))
+            context, cluster = rig(processors, provider_name)
+            # N and M fixed across the families: the trace may depend on them.
+            run_algorithm(name, context, cluster, wl, n_max=4, memory=4)
+            observed.append([list(t.trace.events) for t in cluster])
+        verdicts[name] = observed[0] == observed[1]
     return verdicts
 
 
@@ -282,17 +185,10 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for CI smoke runs")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on identity/privacy/speedup failures")
+                        help="exit non-zero on identity/privacy failures")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--provider", choices=("ocb", "fast"), default="ocb",
                         help="crypto provider for the measured runs")
-    parser.add_argument("--min-speedup", type=float, default=1.2,
-                        help="required P=2 sort speedup (multi-CPU hosts only)")
-    parser.add_argument("--floor-speedup", type=float, default=1.0,
-                        help="every section's P>=2 speedup floor "
-                             "(multi-CPU hosts only)")
-    parser.add_argument("--target-speedup", type=float, default=1.5,
-                        help="required best P=4 speedup (4+ CPU hosts only)")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -306,10 +202,9 @@ def main(argv=None) -> int:
                       "algorithm4": (24, 24), "algorithm5": (48, 48),
                       "algorithm6": (48, 48)}
 
-    cpus = host_cpus()
     report = {
-        "benchmark": "parallel wall-clock speedup",
-        "host_cpus": cpus,
+        "benchmark": "parallel simulation wall clock",
+        "host_cpus": host_cpus(),
         "provider": args.provider,
         "smoke": args.smoke,
         "sort": bench_sort(sort_size, args.provider),
@@ -326,56 +221,15 @@ def main(argv=None) -> int:
     print(json.dumps(report, indent=2))
 
     failures = []
-    sections = [("sort", report["sort"])] + [
-        (name, data) for name, data in report["algorithms"].items()
-    ]
+    sections = [("sort", report["sort"]), *report["algorithms"].items()]
     for name, data in sections:
         if not data["batched_identical_to_scalar"]:
             failures.append(
                 f"{name} batched sequential run diverged from the scalar one"
             )
-        for workers, run in data["workers"].items():
-            if not run["identical_to_sequential"]:
-                failures.append(
-                    f"{name} with {workers} workers diverged from the "
-                    "sequential simulation"
-                )
     for name, accepted in report["privacy_accepted"].items():
         if not accepted:
             failures.append(f"{name} parallel trace depends on the data")
-
-    if cpus >= 2:
-        sort_p2 = report["sort"]["workers"]["2"]["speedup"]
-        if sort_p2 is not None and sort_p2 < args.min_speedup:
-            failures.append(
-                f"P=2 sort wall-clock speedup {sort_p2} < {args.min_speedup}"
-            )
-        # Parallelism must never lose to the sequential run once the host
-        # actually has the CPUs for the requested worker count.
-        for name, data in sections:
-            for workers, run in data["workers"].items():
-                if int(workers) < 2 or cpus < int(workers):
-                    continue
-                if run["speedup"] is not None and \
-                        run["speedup"] < args.floor_speedup:
-                    failures.append(
-                        f"{name} P={workers} wall-clock speedup "
-                        f"{run['speedup']} < floor {args.floor_speedup}"
-                    )
-    else:
-        print(f"NOTE: host has {cpus} CPU; speedup thresholds skipped "
-              "(identity and privacy checks still enforced)", file=sys.stderr)
-    if cpus >= 4:
-        best = max(
-            run["speedup"] or 0.0
-            for _, data in sections
-            for workers, run in data["workers"].items()
-            if workers == "4"
-        )
-        if best < args.target_speedup:
-            failures.append(
-                f"best P=4 wall-clock speedup {best} < {args.target_speedup}"
-            )
 
     if failures:
         for failure in failures:

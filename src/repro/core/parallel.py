@@ -5,35 +5,24 @@ speed-up in the number of processors" and describes the Chapter 5 schemes:
 partition the iTuples for Algorithm 4, coordinate per-coprocessor output
 ranges for Algorithm 5, and share an MLFSR seed for Algorithm 6.
 
-Every variant here runs in one of two modes:
-
-* **sequential simulation** (default) — the coprocessors' shares execute one
-  after another but are accounted per coprocessor; the modelled parallel
-  makespan is the busiest coprocessor's transfer count, so linear speedup
-  appears as ``speedup ~= P``.
-* **wall-clock execution** — pass a :class:`~repro.parallel.executor.
-  ClusterExecutor` as ``executor`` and the same shares run as real OS
-  processes.  The per-coprocessor work is factored into module-level
-  (picklable) functions used verbatim by both modes, and the executor merges
-  worker results in the sequential order — so traces, counters, results and
-  the modelled makespan are bit-identical between the two modes; only the
-  wall clock differs.
+Every variant runs on the simulated :class:`~repro.hardware.cluster.Cluster`:
+the coprocessors' shares execute one after another but are accounted per
+coprocessor; the modelled parallel makespan is the busiest coprocessor's
+transfer count, so linear speedup appears as ``speedup ~= P``.
 
 Oblivious decoy filtering in parallel needs a parallel bitonic sort, which
 the paper lists as future work ("implementing a parallel bitonic sort is
 tricky due to synchronization"); Algorithm 4's filter phase uses the
-implementation in :mod:`repro.oblivious.parallel_filter` (or its wall-clock
-twin in :mod:`repro.parallel.sort`), while Algorithm 6's variant keeps the
-serial filter (its omega is small relative to the scans).
+implementation in :mod:`repro.oblivious.parallel_filter`, while Algorithm 6's
+variant keeps the serial filter (its omega is small relative to the scans).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from repro.core.base import (
     JoinContext,
@@ -51,14 +40,12 @@ from repro.errors import BlemishError, ConfigurationError
 from repro.hardware.cluster import Cluster
 from repro.hardware.counters import TransferStats
 from repro.oblivious.filterbuf import emit_kept, oblivious_filter
+from repro.oblivious.parallel_filter import parallel_oblivious_filter
 from repro.oblivious.sort import oblivious_sort
 from repro.obs.spans import PhaseProfile
 from repro.relational.predicates import Equality, MultiPredicate, Predicate
 from repro.relational.relation import Relation
 from repro.relational.tuples import Record, TupleCodec
-
-if TYPE_CHECKING:  # no runtime import: repro.parallel layers above repro.core
-    from repro.parallel.executor import ClusterExecutor
 
 
 @dataclass
@@ -97,19 +84,7 @@ def _upload_multi(context: JoinContext, relations: Sequence[Relation]):
     return regions, codecs, space
 
 
-def _span(profile: PhaseProfile | None, name: str):
-    """A profile span, or a no-op where no profile travels (worker tasks)."""
-    return profile.span(name) if profile is not None else nullcontext()
-
-
-def _partition_io(reads: dict, appends: dict | None = None):
-    """Build the executor's per-partition TaskIO (imported lazily)."""
-    from repro.parallel.shard import TaskIO
-
-    return TaskIO(reads=reads, appends=appends or {})
-
-
-# -- per-coprocessor work (module-level, hence picklable) --------------------
+# -- per-coprocessor work ------------------------------------------------------
 
 def _alg2_scan_share(
     coprocessor,
@@ -125,7 +100,7 @@ def _alg2_scan_share(
     out_schema,
     out_codec: TupleCodec,
     payload_size: int,
-    profile: PhaseProfile | None = None,
+    profile: PhaseProfile,
 ) -> None:
     """One coprocessor's Algorithm 2 share: its slice of A against all of B."""
     for a_index in index_range:
@@ -150,7 +125,7 @@ def _alg2_scan_share(
                             last = current
                 while len(joined) < blk:
                     joined.append(make_decoy(payload_size))
-                with _span(profile, "flush"):
+                with profile.span("flush"):
                     for plain in joined.drain():
                         coprocessor.put_append("output", plain)
                 joined.release()
@@ -170,7 +145,7 @@ def _alg3_scan_share(
     out_codec: TupleCodec,
     payload_size: int,
     output_region: str,
-    profile: PhaseProfile | None = None,
+    profile: PhaseProfile,
 ) -> None:
     """One coprocessor's Algorithm 3 share: its slice of A over sorted B.
 
@@ -183,7 +158,7 @@ def _alg3_scan_share(
     for a_index in index_range:
         with coprocessor.hold(1):
             a = left_codec.decode(coprocessor.get("A", a_index))
-            with _span(profile, "init"):
+            with profile.span("init"):
                 decoy = make_decoy(payload_size)
                 coprocessor.put_many(
                     (scratch, slot, decoy) for slot in range(n_max)
@@ -205,18 +180,16 @@ def _alg3_scan_share(
 def _alg4_scan_share(
     coprocessor,
     index_range: range,
-    worker: int,
     *,
     regions: Sequence[str],
     codecs: Sequence[TupleCodec],
-    sizes: Sequence[int],
+    space: CartesianSpace,
     predicate: MultiPredicate,
     out_schema,
     out_codec: TupleCodec,
     payload_size: int,
 ) -> int:
     """One coprocessor's Algorithm 4 share; returns its real-result count."""
-    space = CartesianSpace(sizes)
     reader = CartesianReader(coprocessor, regions, codecs, space)
     count = 0
     with coprocessor.hold(2):
@@ -238,17 +211,16 @@ def _alg5_scan_share(
     *,
     regions: Sequence[str],
     codecs: Sequence[TupleCodec],
-    sizes: Sequence[int],
+    space: CartesianSpace,
     predicate: MultiPredicate,
     out_schema,
     out_codec: TupleCodec,
     memory: int,
     lo: int,
     hi: int,
-    profile: PhaseProfile | None = None,
+    profile: PhaseProfile,
 ) -> None:
     """One coprocessor's Algorithm 5 share: emit result ordinals [lo, hi)."""
-    space = CartesianSpace(sizes)
     total = len(space)
     reader = CartesianReader(coprocessor, regions, codecs, space)
     scans = max(1, math.ceil((hi - lo) / memory))
@@ -267,7 +239,7 @@ def _alg5_scan_share(
                             )
                         )
                     ordinal += 1
-            with _span(profile, "flush"):
+            with profile.span("flush"):
                 for payload in pending.drain():
                     coprocessor.put_append("output", payload)
                     emitted += 1
@@ -279,28 +251,26 @@ def _alg6_scan_share(
     *,
     regions: Sequence[str],
     codecs: Sequence[TupleCodec],
-    sizes: Sequence[int],
+    space: CartesianSpace,
     predicate: MultiPredicate,
     out_schema,
     out_codec: TupleCodec,
     payload_size: int,
-    positions: Sequence[int],
+    order: Sequence[int],
     first_segment: int,
     last_segment: int,
     n_star: int,
     memory: int,
-    profile: PhaseProfile | None = None,
+    profile: PhaseProfile,
 ) -> bool:
     """One coprocessor's Algorithm 6 share: its range of random-order
     segments.  Returns True when a segment blemished (overflowed M)."""
-    space = CartesianSpace(sizes)
     reader = CartesianReader(coprocessor, regions, codecs, space)
     buffer = coprocessor.buffer(memory)
     blemish = False
     with coprocessor.hold(1):
         for seg in range(first_segment, last_segment):
-            offset = (seg - first_segment) * n_star
-            for logical in positions[offset:offset + n_star]:
+            for logical in order[seg * n_star:(seg + 1) * n_star]:
                 records = reader.read(logical)
                 if predicate.satisfies(records):
                     if buffer.full:
@@ -309,7 +279,7 @@ def _alg6_scan_share(
                     buffer.append(
                         out_codec.encode(Record(out_schema, joined_values(records)))
                     )
-            with _span(profile, "flush"):
+            with profile.span("flush"):
                 slot = seg * memory
                 for plain_payload in buffer.drain():
                     coprocessor.put("psegments", slot, make_real(plain_payload))
@@ -333,7 +303,6 @@ def parallel_algorithm2(
     predicate: Predicate,
     n_max: int,
     memory: int,
-    executor: "ClusterExecutor | None" = None,
 ) -> ParallelJoinResult:
     """Algorithm 2 with A partitioned across the cluster (Section 4.4.4)."""
     if not 1 <= n_max <= len(right):
@@ -352,22 +321,10 @@ def parallel_algorithm2(
         _alg2_scan_share,
         left_codec=left_codec, right_codec=right_codec, right_size=len(right),
         predicate=predicate, gamma=gamma, blk=blk, out_schema=out_schema,
-        out_codec=out_codec, payload_size=payload_size,
+        out_codec=out_codec, payload_size=payload_size, profile=profile,
     )
-    per_a_outputs = gamma * blk
-
     with profile.span("scan"):
-        if executor is None:
-            cluster.run_partitioned(len(left), partial(work, profile=profile))
-        else:
-            executor.run_partitioned(
-                cluster, len(left), work,
-                io=lambda index_range, worker: _partition_io(
-                    reads={"A": [(index_range.start, index_range.stop)], "B": None},
-                    appends={"output": index_range.start * per_a_outputs},
-                ),
-                label="algorithm2 scan",
-            )
+        cluster.run_partitioned(len(left), work)
     result = context.download_output(out_schema)
     return ParallelJoinResult(
         result=result,
@@ -385,7 +342,6 @@ def parallel_algorithm3(
     on: str | Equality,
     n_max: int,
     presorted: bool = False,
-    executor: "ClusterExecutor | None" = None,
 ) -> ParallelJoinResult:
     """Algorithm 3 with A partitioned across the cluster.
 
@@ -430,24 +386,10 @@ def parallel_algorithm3(
         _alg3_scan_share,
         left_codec=left_codec, right_codec=right_codec, eq=eq, n_max=n_max,
         right_size=len(right), out_schema=out_schema, out_codec=out_codec,
-        payload_size=payload_size, output_region=output,
+        payload_size=payload_size, output_region=output, profile=profile,
     )
     with profile.span("scan"):
-        if executor is None:
-            cluster.run_partitioned(len(left), partial(work, profile=profile))
-        else:
-            executor.run_partitioned(
-                cluster, len(left), work,
-                io=lambda index_range, worker: _partition_io(
-                    reads={
-                        "A": [(index_range.start, index_range.stop)],
-                        "B": None,
-                        f"scratch3w{worker}": None,
-                    },
-                    appends={output: index_range.start * n_max},
-                ),
-                label="algorithm3 scan",
-            )
+        cluster.run_partitioned(len(left), work)
 
     return ParallelJoinResult(
         result=context.download_output(out_schema),
@@ -464,7 +406,6 @@ def parallel_algorithm4(
     cluster: Cluster,
     relations: Sequence[Relation],
     predicate: MultiPredicate,
-    executor: "ClusterExecutor | None" = None,
 ) -> ParallelJoinResult:
     """Algorithm 4 with the iTuples partitioned across the cluster."""
     out_schema = multi_party_output_schema(relations)
@@ -477,57 +418,25 @@ def parallel_algorithm4(
     counts = [0] * len(cluster)
     profile = PhaseProfile.for_cluster(cluster)
 
-    work = partial(
-        _alg4_scan_share,
-        regions=list(regions), codecs=list(codecs), sizes=list(space.sizes),
-        predicate=predicate, out_schema=out_schema, out_codec=out_codec,
-        payload_size=payload_size,
-    )
+    def work(coprocessor, index_range, worker):
+        counts[worker] = _alg4_scan_share(
+            coprocessor, index_range, regions=regions, codecs=codecs,
+            space=space, predicate=predicate, out_schema=out_schema,
+            out_codec=out_codec, payload_size=payload_size,
+        )
 
     with profile.span("scan"):
-        if executor is None:
-            def sequential(coprocessor, index_range, worker):
-                counts[worker] = work(coprocessor, index_range, worker)
-
-            cluster.run_partitioned(total, sequential)
-        else:
-            ranges = cluster.partition_range(total)
-            from repro.parallel.executor import ShardTask
-
-            tasks = [
-                ShardTask(
-                    device=worker,
-                    fn=work,
-                    io=_partition_io(reads={
-                        **{region: None for region in regions},
-                        "otuples": [(index_range.start, index_range.stop)],
-                    }),
-                    args=(index_range, worker),
-                    label=f"algorithm4 scan [{index_range.start}, {index_range.stop})",
-                )
-                for worker, index_range in enumerate(ranges)
-            ]
-            counts = executor.run_tasks(cluster, tasks)
+        cluster.run_partitioned(total, work)
     result_count = sum(counts)
     scan_stats = [TransferStats.from_trace(t.trace) for t in cluster]
 
     # Filter phase: all coprocessors cooperate via the parallel bitonic sort
     # (Section 5.3.5's "oblivious filtering out decoys in parallel").
     with profile.span("filter"):
-        if executor is None:
-            from repro.oblivious.parallel_filter import parallel_oblivious_filter
-
-            filter_report = parallel_oblivious_filter(
-                cluster, "otuples", total, keep=result_count,
-                delta=optimal_delta(result_count, total), priority=decoy_priority,
-            )
-        else:
-            from repro.parallel.sort import wallclock_oblivious_filter
-
-            filter_report = wallclock_oblivious_filter(
-                executor, cluster, "otuples", total, keep=result_count,
-                delta=optimal_delta(result_count, total), priority=decoy_priority,
-            )
+        filter_report = parallel_oblivious_filter(
+            cluster, "otuples", total, keep=result_count,
+            delta=optimal_delta(result_count, total), priority=decoy_priority,
+        )
     with profile.span("emit"):
         emit_kept(cluster[0], filter_report.buffer_region, result_count, output,
                   is_real=is_real, strip=1)
@@ -554,7 +463,6 @@ def parallel_algorithm5(
     relations: Sequence[Relation],
     predicate: MultiPredicate,
     memory: int,
-    executor: "ClusterExecutor | None" = None,
 ) -> ParallelJoinResult:
     """Algorithm 5 parallelized by output ranges (Section 5.3.5).
 
@@ -582,41 +490,16 @@ def parallel_algorithm5(
 
     share = math.ceil(result_count / len(cluster)) if result_count else 0
 
-    def share_kwargs(p: int) -> dict | None:
-        lo, hi = p * share, min((p + 1) * share, result_count)
-        if lo >= hi:
-            return None
-        return dict(
-            regions=list(regions), codecs=list(codecs), sizes=list(space.sizes),
-            predicate=predicate, out_schema=out_schema, out_codec=out_codec,
-            memory=memory, lo=lo, hi=hi,
-        )
-
     with profile.span("scan"):
-        if executor is None:
-            for p, coprocessor in enumerate(cluster):
-                kwargs = share_kwargs(p)
-                if kwargs is not None:
-                    _alg5_scan_share(coprocessor, profile=profile, **kwargs)
-        else:
-            from repro.parallel.executor import ShardTask
-
-            tasks = []
-            for p in range(len(cluster)):
-                kwargs = share_kwargs(p)
-                if kwargs is None:
-                    continue
-                tasks.append(ShardTask(
-                    device=p,
-                    fn=_alg5_scan_share,
-                    io=_partition_io(
-                        reads={region: None for region in regions},
-                        appends={"output": kwargs["lo"]},
-                    ),
-                    kwargs=kwargs,
-                    label=f"algorithm5 ordinals [{kwargs['lo']}, {kwargs['hi']})",
-                ))
-            executor.run_tasks(cluster, tasks)
+        for p, coprocessor in enumerate(cluster):
+            lo, hi = p * share, min((p + 1) * share, result_count)
+            if lo < hi:
+                _alg5_scan_share(
+                    coprocessor, regions=regions, codecs=codecs, space=space,
+                    predicate=predicate, out_schema=out_schema,
+                    out_codec=out_codec, memory=memory, lo=lo, hi=hi,
+                    profile=profile,
+                )
 
     result = context.download_output(out_schema, flagged=False)
     return ParallelJoinResult(
@@ -636,7 +519,6 @@ def parallel_algorithm6(
     epsilon: float = 1e-20,
     seed: int = 1,
     segment_size: int | None = None,
-    executor: "ClusterExecutor | None" = None,
 ) -> ParallelJoinResult:
     """Algorithm 6 parallelized by MLFSR position ranges (Section 5.3.5).
 
@@ -684,51 +566,22 @@ def parallel_algorithm6(
     per = math.ceil(segments / len(cluster))
     order = list(RandomOrder(total, seed=seed))
 
-    def share_kwargs(p: int) -> dict | None:
-        first_segment = p * per
-        last_segment = min((p + 1) * per, segments)
-        if first_segment >= last_segment:
-            return None
-        return dict(
-            regions=list(regions), codecs=list(codecs), sizes=list(space.sizes),
-            predicate=predicate, out_schema=out_schema, out_codec=out_codec,
-            payload_size=payload_size,
-            positions=order[first_segment * n_star:last_segment * n_star],
-            first_segment=first_segment, last_segment=last_segment,
-            n_star=n_star, memory=memory,
-        )
-
     blemish = False
     with profile.span("random_scan"):
-        if executor is None:
-            for p, coprocessor in enumerate(cluster):
-                kwargs = share_kwargs(p)
-                if kwargs is None:
-                    continue
-                blemish = _alg6_scan_share(coprocessor, profile=profile, **kwargs)
-                if blemish:
-                    break
-        else:
-            from repro.parallel.executor import ShardTask
-
-            tasks = []
-            for p in range(len(cluster)):
-                kwargs = share_kwargs(p)
-                if kwargs is None:
-                    continue
-                tasks.append(ShardTask(
-                    device=p,
-                    fn=_alg6_scan_share,
-                    io=_partition_io(reads={
-                        **{region: None for region in regions},
-                        "psegments": [(kwargs["first_segment"] * memory,
-                                       kwargs["last_segment"] * memory)],
-                    }),
-                    kwargs=kwargs,
-                    label=(f"algorithm6 segments [{kwargs['first_segment']}, "
-                           f"{kwargs['last_segment']})"),
-                ))
-            blemish = any(executor.run_tasks(cluster, tasks))
+        for p, coprocessor in enumerate(cluster):
+            first_segment = p * per
+            last_segment = min((p + 1) * per, segments)
+            if first_segment >= last_segment:
+                continue
+            blemish = _alg6_scan_share(
+                coprocessor, regions=regions, codecs=codecs, space=space,
+                predicate=predicate, out_schema=out_schema,
+                out_codec=out_codec, payload_size=payload_size,
+                order=order, first_segment=first_segment, last_segment=last_segment,
+                n_star=n_star, memory=memory, profile=profile,
+            )
+            if blemish:
+                break
 
     if blemish:
         raise BlemishError(

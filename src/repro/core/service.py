@@ -89,6 +89,20 @@ def issue_attestation(application_code: str, root_of_trust: str = "ibm-miniboot"
     )
 
 
+CONTRACT_HEADER_BYTES = 16
+
+
+def contract_header(contract_id: str) -> bytes:
+    """The fixed-width contract ID prepended to every uploaded tuple."""
+    encoded = contract_id.encode("utf-8")
+    if len(encoded) > CONTRACT_HEADER_BYTES:
+        raise ContractError(
+            f"contract ID {contract_id!r} exceeds {CONTRACT_HEADER_BYTES} "
+            "bytes of UTF-8"
+        )
+    return encoded.ljust(CONTRACT_HEADER_BYTES, b"\x00")
+
+
 @dataclass(frozen=True)
 class Contract:
     """The digital contract T arbitrates: who may share what, computed how."""
@@ -120,7 +134,7 @@ class Party:
         """Encrypt (contract_id || tuple) per record, as Section 3.3.3 requires."""
         provider = self.provider()
         codec = relation.codec()
-        header = contract_id.encode("utf-8").ljust(16, b"\x00")
+        header = contract_header(contract_id)
         return [provider.encrypt(header + codec.encode(r)) for r in relation]
 
 
@@ -244,6 +258,7 @@ class JoinService:
 
     # -- contracts ----------------------------------------------------------
     def register_contract(self, contract: Contract) -> None:
+        contract_header(contract.contract_id)  # ContractError when too long
         if contract.contract_id in self._contracts:
             raise ContractError(f"contract {contract.contract_id!r} already registered")
         self._contracts[contract.contract_id] = contract
@@ -321,13 +336,13 @@ class JoinService:
                 f"party {owner!r} is not a data owner under contract {contract_id!r}"
             )
         codec = TupleCodec(schema)
-        header = contract_id.encode("utf-8").ljust(16, b"\x00")
+        header = contract_header(contract_id)
         accepted = Relation(schema)
         for ciphertext in ciphertexts:
             plain = provider.decrypt(ciphertext)  # AuthenticationError on tamper
-            if plain[:16] != header:
+            if plain[:CONTRACT_HEADER_BYTES] != header:
                 raise AuthenticationError("tuple bound to a different contract")
-            accepted.append(codec.decode(plain[16:]))
+            accepted.append(codec.decode(plain[CONTRACT_HEADER_BYTES:]))
         self._uploads[(contract_id, owner)] = accepted
         return len(accepted)
 

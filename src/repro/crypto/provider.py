@@ -228,10 +228,10 @@ class OcbProvider:
     def clone(self) -> "OcbProvider":
         """A fresh instance under the same key with its own nonce sequence.
 
-        The unit a parallel worker must hold: ciphertexts interoperate (same
+        The unit an isolated join holds: ciphertexts interoperate (same
         key) while the fresh random nonce prefix keeps the clone's sequence
-        disjoint from every other instance's — copying a live provider into
-        another process would replay its prefix *and* counter, re-creating
+        disjoint from every other instance's — copying a live provider
+        would replay its prefix *and* counter, re-creating
         exactly the cross-instance reuse :class:`_NonceCounter` exists to
         prevent.
         """
@@ -404,18 +404,18 @@ def default_provider(key: bytes) -> CryptoProvider:
 
 
 def clone_provider(provider: CryptoProvider) -> CryptoProvider:
-    """A fresh same-key instance for a parallel worker or isolated join.
+    """A fresh same-key instance for an isolated join.
 
     Every built-in provider supports :meth:`clone`; a custom provider handed
-    to the parallel executor must too, because shipping the *same* instance
-    (or a byte-copy of it) into another process would duplicate its nonce
-    counter state.
+    to :class:`~repro.core.service.JoinService` must too, because sharing the
+    *same* instance (or a byte-copy of it) between concurrent joins would
+    duplicate its nonce counter state.
     """
     clone = getattr(provider, "clone", None)
     if clone is None:
         raise ConfigurationError(
-            f"{type(provider).__name__} cannot be cloned for a parallel "
-            "worker; implement clone() returning a same-key instance with a "
+            f"{type(provider).__name__} cannot be cloned for an isolated "
+            "join; implement clone() returning a same-key instance with a "
             "fresh nonce sequence"
         )
     return clone()

@@ -135,7 +135,11 @@ class Cluster:
         coprocessor: SecureCoprocessor,
         index_range: range,
     ) -> Exception:
-        """The same-typed, worker-attributed copy of a partition failure."""
+        """The same-typed, worker-attributed copy of a partition failure.
+
+        A type that cannot be rebuilt from one message argument surfaces as
+        the original exception, with the worker context in ``__notes__``.
+        """
         note = (
             f"worker {worker} ({coprocessor.name}) failed on "
             f"partition [{index_range.start}, {index_range.stop}): "
@@ -144,6 +148,8 @@ class Cluster:
         try:
             annotated = type(error)(note)
         except Exception:
-            raise error  # exception type not message-constructible
+            # add_note is 3.11+; on 3.10 set the attribute it would append to.
+            error.__notes__ = [*getattr(error, "__notes__", []), note]
+            return error
         annotated.__cause__ = error
         return annotated

@@ -337,9 +337,7 @@ class SecureCoprocessor:
         no replay cursor, and a host whose slot methods are the unmodified
         :class:`HostMemory` ones — adversarial hosts override ``read_slot`` to
         tamper with the n-th physical read, and wrapper hosts (faulty, chaos,
-        recovery) interpose per-call behaviour.  A host class may declare
-        itself safe explicitly with a ``supports_batched_io = True`` class
-        attribute (the shared-memory shard host does).
+        recovery) interpose per-call behaviour.
         """
         if not self.batched_io or self.retry is not None:
             return False
@@ -348,7 +346,7 @@ class SecureCoprocessor:
         safe = self._host_batch_safe
         if safe is None:
             host_type = type(self.host)
-            safe = bool(getattr(host_type, "supports_batched_io", False)) or (
+            safe = (
                 host_type.read_slot is HostMemory.read_slot
                 and host_type.write_slot is HostMemory.write_slot
                 and host_type.append_slot is HostMemory.append_slot

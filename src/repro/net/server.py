@@ -577,15 +577,15 @@ class JoinServer:
                         "expired jobs re-admitted via their idempotency token",
                     ).inc()
             existing = self.service._contracts.get(frame.contract_id)
-            if existing is None:
-                self.service.register_contract(contract)
-            elif existing != contract:
+            if existing is not None and existing != contract:
                 raise ErrorResponse(ErrorReply(
                     "contract",
                     f"contract {frame.contract_id!r} is already registered "
                     "with different terms",
                 ))
             try:
+                if existing is None:
+                    self.service.register_contract(contract)
                 for upload in frame.uploads:
                     self.service.ingest_upload(
                         upload.owner, frame.contract_id, upload.schema,

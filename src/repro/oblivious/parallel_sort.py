@@ -22,9 +22,8 @@ synchronization").  The construction here follows the sketch:
 Synchronization appears in the accounting: :func:`network_stages` schedules
 the comparator network into minimal dependency stages (ASAP); comparators in
 one stage touch disjoint chunk pairs and run concurrently, so a stage's
-modelled makespan is a single block merge.  The executor charges each merge
-to the lower chunk's owning coprocessor so per-device totals are
-inspectable.
+modelled makespan is a single block merge.  Each merge is charged to the
+lower chunk's owning coprocessor so per-device totals are inspectable.
 """
 
 from __future__ import annotations
@@ -143,59 +142,6 @@ def _normalize_chunk(
             coprocessor.put(region, base + chunk // 2, middle)
 
 
-def plan_global_phase(
-    processors: int, chunk: int
-) -> tuple[list[list[tuple[int, list[int]]]], list[int]]:
-    """The global phase as pure data: per-stage block merges, then cleanup.
-
-    Returns ``(stages, normalize)``: each stage is a list of
-    ``(device, indices)`` pairs — the coprocessor charged with the merge and
-    the explicit slot order the ascending merge network runs over — and
-    ``normalize`` lists the chunks left descending at the end.  Both the
-    sequential simulation and the multiprocess executor walk this same plan,
-    which is what makes their traces bit-identical by construction.
-    """
-    # +1: ascending along natural index order.
-    orientation = [1] * processors
-
-    def ordered_indices(p: int) -> list[int]:
-        base = list(range(p * chunk, (p + 1) * chunk))
-        return base if orientation[p] == 1 else base[::-1]
-
-    plan: list[list[tuple[int, list[int]]]] = []
-    for stage in network_stages(processors):
-        stage_plan = []
-        for comp in stage:
-            # Ascending comparator: the low chunk receives the smaller half.
-            first, second = (
-                (comp.low, comp.high) if comp.ascending else (comp.high, comp.low)
-            )
-            # The merge network expects the shape the sort recursion produces:
-            # first half descending, second half ascending — so the first
-            # chunk is laid out reversed.
-            indices = ordered_indices(first)[::-1] + ordered_indices(second)
-            stage_plan.append((comp.low, indices))
-            # The merged sequence is ascending along `indices`: chunk `first`
-            # comes out reversed relative to its orientation order, chunk
-            # `second` keeps its orientation.
-            orientation[first] *= -1
-        plan.append(stage_plan)
-    normalize = [p for p in range(processors) if orientation[p] == -1]
-    return plan, normalize
-
-
-def check_parallel_sort_shape(size: int, processors: int) -> int:
-    """Validate the (size, P) combination and return the chunk size."""
-    if size % processors != 0:
-        raise ConfigurationError(
-            f"size {size} must be divisible by the cluster size {processors}"
-        )
-    chunk = size // processors
-    if chunk == 0:
-        raise ConfigurationError("each coprocessor needs at least one element")
-    return chunk
-
-
 def parallel_oblivious_sort(
     cluster: Cluster, region: str, size: int, key: KeyFunction
 ) -> ParallelSortReport:
@@ -205,7 +151,13 @@ def parallel_oblivious_sort(
     makes a block exchange a valid comparator on 0-1 block counts).
     """
     processors = len(cluster)
-    chunk = check_parallel_sort_shape(size, processors)
+    if size % processors != 0:
+        raise ConfigurationError(
+            f"size {size} must be divisible by the cluster size {processors}"
+        )
+    chunk = size // processors
+    if chunk == 0:
+        raise ConfigurationError("each coprocessor needs at least one element")
 
     # Local phase: every coprocessor sorts its own chunk (concurrent).
     for p, coprocessor in enumerate(cluster):
@@ -213,24 +165,43 @@ def parallel_oblivious_sort(
 
     # Global phase: bitonic network over chunks; merge-based block exchange
     # with per-chunk orientation tracking (see module docstring).
-    stage_plan, normalize = plan_global_phase(processors, chunk)
+    orientation = [1] * processors  # +1: ascending along natural index order
+
+    def ordered_indices(p: int) -> list[int]:
+        base = list(range(p * chunk, (p + 1) * chunk))
+        return base if orientation[p] == 1 else base[::-1]
+
+    stages = network_stages(processors)
     exchanges = 0
-    for stage in stage_plan:
-        for device, indices in stage:
-            _merge_indices(cluster[device], region, indices, key)
+    for stage in stages:
+        for comp in stage:
+            # Ascending comparator: the low chunk receives the smaller half.
+            first, second = (
+                (comp.low, comp.high) if comp.ascending else (comp.high, comp.low)
+            )
+            # The merge network expects the shape the sort recursion produces:
+            # first half descending, second half ascending — so the first
+            # chunk is laid out reversed.
+            indices = ordered_indices(first)[::-1] + ordered_indices(second)
+            _merge_indices(cluster[comp.low], region, indices, key)
+            # The merged sequence is ascending along `indices`: chunk `first`
+            # comes out reversed relative to its orientation order, chunk
+            # `second` keeps its orientation.
+            orientation[first] *= -1
             exchanges += 1
 
     # Normalization: physically reverse any chunk left in descending
     # orientation (a data-independent read-and-rewrite pass).
     normalized = 0
-    for p in normalize:
-        _normalize_chunk(cluster[p], region, p * chunk, chunk)
-        normalized += 1
+    for p, coprocessor in enumerate(cluster):
+        if orientation[p] == -1:
+            _normalize_chunk(coprocessor, region, p * chunk, chunk)
+            normalized += 1
 
     local = exact_transfers(chunk)
     exchange = 4 * merge_comparator_count(2 * chunk)
     normalize_cost = 2 * chunk
-    makespan = local + len(stage_plan) * exchange + (normalize_cost if normalized else 0)
+    makespan = local + len(stages) * exchange + (normalize_cost if normalized else 0)
     total = (
         processors * local + exchanges * exchange + normalized * normalize_cost
     )
@@ -239,7 +210,7 @@ def parallel_oblivious_sort(
         chunk=chunk,
         local_transfers=local,
         exchange_transfers=exchange,
-        global_stages=len(stage_plan),
+        global_stages=len(stages),
         makespan=makespan,
         total=total,
     )

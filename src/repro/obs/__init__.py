@@ -18,7 +18,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     family_total,
-    instrument_executor,
     instrument_join,
     instrument_workload,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "TeeTrace",
     "TraceSink",
     "family_total",
-    "instrument_executor",
     "instrument_join",
     "instrument_workload",
     "one_shot",

@@ -312,47 +312,6 @@ def instrument_workload(registry: MetricsRegistry, report) -> None:
                      **labels).inc(getattr(report, "proxy_faults", 0))
 
 
-def instrument_executor(registry: MetricsRegistry, executor,
-                        **labels: str) -> None:
-    """Export a ClusterExecutor's IPC-boundary counters as metric series.
-
-    ``executor_bytes_shared_total`` counts payload bytes workers mapped
-    zero-copy from shared-memory arena segments; ``executor_bytes_pickled_total``
-    counts packed payload bytes that crossed the process boundary through
-    pickle (task results, plus dictionary-shard payloads when shared memory
-    is unavailable).  Together with ``executor_tasks_submitted_total`` and
-    ``executor_flushes_total`` (contiguous region write-backs applied at
-    merge time) they show where a parallel run's boundary time went — the
-    split BENCH_parallel.json records per configuration.  Counters are
-    cumulative on the executor, so this records deltas since the previous
-    call, like :func:`instrument_coprocessor`.
-    """
-    pairs = (
-        ("executor_bytes_pickled_total",
-         "payload bytes crossing worker IPC via pickle",
-         executor.bytes_pickled),
-        ("executor_bytes_shared_total",
-         "payload bytes mapped via shared-memory arenas",
-         executor.bytes_shared),
-        ("executor_tasks_submitted_total",
-         "shard tasks submitted to the executor",
-         executor.tasks_submitted),
-        ("executor_tasks_pooled_total",
-         "shard tasks that ran on pool processes",
-         executor.tasks_pooled),
-        ("executor_flushes_total",
-         "contiguous write-back flushes merged into the parent host",
-         executor.flushes),
-        ("executor_rounds_total",
-         "barrier rounds executed",
-         executor.rounds),
-    )
-    snapshot = getattr(executor, "_metrics_snapshot", {})
-    for name, help_text, value in pairs:
-        registry.counter(name, help_text, **labels).inc(value - snapshot.get(name, 0))
-    executor._metrics_snapshot = {name: value for name, _, value in pairs}
-
-
 def instrument_coprocessor(registry: MetricsRegistry, coprocessor,
                            **labels: str) -> None:
     """Export a coprocessor's crypto-boundary counters as metric series.

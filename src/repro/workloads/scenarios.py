@@ -10,8 +10,9 @@ the latency SLO the deployment promises.
 
 Everything is seeded and deterministic: ``build_tables(instance_seed)``
 returns byte-identical relations for the same seed — including across
-process boundaries, which the parallel executor depends on — so scenario
-inputs can be regression-locked exactly like the safe algorithms' traces.
+process boundaries, which load generators running in their own process
+depend on — so scenario inputs can be regression-locked exactly like the
+safe algorithms' traces.
 """
 
 from __future__ import annotations

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from repro.crypto.blockcipher import BLOCK_SIZE, BlockCipher, gf_double, xor_bytes
 from repro.crypto.ocb import NONCE_SIZE, TAG_SIZE, Ocb
-from repro.crypto.provider import FastProvider, NullProvider, OcbProvider, _NonceCounter
+from repro.crypto.provider import (
+    FastProvider,
+    NullProvider,
+    OcbProvider,
+    _NonceCounter,
+    clone_provider,
+)
 from repro.errors import AuthenticationError, ConfigurationError
 
 KEY = b"0123456789abcdef0123456789abcdef"
@@ -183,6 +189,14 @@ class TestProviders:
             with pytest.raises(AuthenticationError):
                 provider.decrypt(bytes(corrupted))
 
+    def test_clone_interoperates(self, provider_cls):
+        """A clone decrypts the original's ciphertexts and vice versa."""
+        provider = provider_cls(KEY)
+        clone = clone_provider(provider)
+        assert clone is not provider
+        assert clone.decrypt(provider.encrypt(b"staged tuple")) == b"staged tuple"
+        assert provider.decrypt(clone.encrypt(b"join output")) == b"join output"
+
     @settings(max_examples=40)
     @given(st.binary(min_size=1, max_size=512))
     def test_roundtrip_property(self, provider_cls, plaintext):
@@ -247,3 +261,15 @@ class TestNonceCounter:
         following = counter.next_nonce()
         assert following[:_NonceCounter.PREFIX_SIZE] == after[:_NonceCounter.PREFIX_SIZE]
         assert following != after
+
+
+def test_clone_provider_refuses_uncloneable_provider():
+    class Bare:
+        def encrypt(self, plaintext):
+            return plaintext
+
+        def decrypt(self, ciphertext):
+            return ciphertext
+
+    with pytest.raises(ConfigurationError):
+        clone_provider(Bare())

@@ -265,9 +265,9 @@ def _generator_digest(kind: str, seed: int) -> bytes:
 
 
 class TestGeneratorDeterminism:
-    """Satellite: same seed ⇒ byte-identical relations.  The parallel
-    executor re-generates inputs in worker processes, so the guarantee must
-    hold across process boundaries, not just across calls."""
+    """Same seed ⇒ byte-identical relations.  Benchmark clients re-generate
+    inputs in their own process, so the guarantee must hold across process
+    boundaries, not just across calls."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["uniform", "zipf", "correlated"]),

@@ -340,3 +340,30 @@ class TestCluster:
 
         cluster.run_partitioned(2, flaky, transient_retries=1)
         assert cluster.total_transfers() == 2
+
+    def test_annotation_survives_unreconstructible_exception_type(self):
+        """An exception type that cannot be rebuilt from one message keeps
+        its identity and carries the worker, device and range as a note."""
+
+        class Picky(Exception):
+            def __init__(self, a, b):  # type(error)(message) would TypeError
+                super().__init__(f"{a}/{b}")
+
+        def work(t, index_range, worker):
+            if worker == 1:
+                raise Picky("left", "right")
+
+        cluster = Cluster(HostMemory(), FastProvider(KEY), count=2)
+        with pytest.raises(Picky) as excinfo:
+            cluster.run_partitioned(4, work)
+        assert str(excinfo.value) == "left/right"
+        notes = "\n".join(excinfo.value.__notes__)
+        assert "worker 1 (T1)" in notes and "[2, 4)" in notes
+
+    def test_run_partitioned_returns_the_partition(self):
+        cluster = Cluster(HostMemory(), FastProvider(KEY), count=3)
+        seen = []
+        ranges = cluster.run_partitioned(
+            9, lambda t, index_range, worker: seen.append(index_range)
+        )
+        assert ranges == seen == cluster.partition_range(9)

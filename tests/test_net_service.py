@@ -479,6 +479,23 @@ class TestRawSocketEdges:
         assert isinstance(reply, ErrorReply)
         assert reply.code == "protocol"
 
+    def test_overlong_contract_id_is_contract_error(self, workload):
+        # The honest client refuses such an ID before encrypting; a raw
+        # frame must still get a contract error, not an internal one.
+        frame = wire.SubmitJoin(
+            contract_id="contract-0123456789",
+            data_owners=("alice",),
+            recipient="carol",
+            predicate=PredicateSpec.equality(workload.join_attr),
+            uploads=(wire.Upload("alice", workload.left.schema, (b"x" * 32,)),),
+        )
+        service = JoinService(pool_size=1)
+        with ServerThread(JoinServer(service)) as handle:
+            reply = self.raw_exchange(handle.port, encode_frame(frame))
+        service.close()
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == "contract"
+
     def test_valid_frame_after_corrupt_one_still_served(self):
         payload = b""
         bad_crc = wire.MAGIC + struct.pack(

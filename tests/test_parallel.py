@@ -9,6 +9,7 @@ from tests.conftest import KEY
 from repro.core.base import JoinContext
 from repro.core.parallel import (
     parallel_algorithm2,
+    parallel_algorithm3,
     parallel_algorithm4,
     parallel_algorithm5,
 )
@@ -48,6 +49,36 @@ class TestParallelAlgorithm2:
         out = parallel_algorithm2(context, cluster, wl.left, wl.right,
                                   Equality("key"), wl.max_matches, memory=2)
         assert out.speedup == pytest.approx(4.0, rel=0.05)
+
+
+class TestParallelAlgorithm3:
+    @pytest.mark.parametrize("processors", [1, 2, 4])
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_correct(self, processors, presorted):
+        wl, reference = workload(seed=51)
+        context, cluster = rig(processors)
+        out = parallel_algorithm3(context, cluster, wl.left, wl.right, "key",
+                                  wl.max_matches, presorted=presorted)
+        assert out.result.same_multiset(reference)
+        assert out.meta["output_slots"] == wl.max_matches * len(wl.left)
+        assert out.total_transfers == cluster.total_transfers()
+        assert out.makespan_transfers == cluster.makespan_transfers()
+        assert out.total_transfers >= out.makespan_transfers
+        assert out.total_transfers <= processors * out.makespan_transfers
+
+    def test_scan_splits_across_the_cluster(self):
+        """The serial sort of B lands on T0; the 3·|A|·|B| scan splits P
+        ways, so the presorted run is perfectly balanced."""
+        wl, _ = workload(seed=51, left=8, right=10)
+        context, cluster = rig(4)
+        out = parallel_algorithm3(context, cluster, wl.left, wl.right, "key",
+                                  wl.max_matches, presorted=True)
+        assert out.speedup == pytest.approx(4.0)
+        context, cluster = rig(4)
+        sorted_out = parallel_algorithm3(context, cluster, wl.left, wl.right,
+                                         "key", wl.max_matches)
+        assert sorted_out.makespan_transfers == \
+            sorted_out.per_coprocessor[0].total > out.makespan_transfers
 
 
 class TestParallelAlgorithm4:

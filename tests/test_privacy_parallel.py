@@ -8,6 +8,7 @@ from tests.conftest import KEY
 from repro.core.base import JoinContext
 from repro.core.parallel import (
     parallel_algorithm2,
+    parallel_algorithm3,
     parallel_algorithm4,
     parallel_algorithm5,
     parallel_algorithm6,
@@ -44,6 +45,16 @@ class TestParallelTraceIndependence:
             context, cluster = rig()
             parallel_algorithm2(context, cluster, wl.left, wl.right,
                                 Equality("key"), n_max=2, memory=2)
+            observed.append(traces_of(cluster))
+        assert observed[0] == observed[1]
+
+    def test_parallel_algorithm3(self):
+        observed = []
+        for wl in families():
+            context, cluster = rig()
+            # N fixed across the families: a public shape parameter.
+            parallel_algorithm3(context, cluster, wl.left, wl.right, "key",
+                                n_max=4)
             observed.append(traces_of(cluster))
         assert observed[0] == observed[1]
 

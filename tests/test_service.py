@@ -75,6 +75,31 @@ class TestContractArbitration:
         with pytest.raises(ContractError):
             service.execute("C-001", BinaryAsMulti(Equality("key")))
 
+    def test_contract_id_over_sixteen_bytes_rejected(self, scenario):
+        """The contract header is 16 bytes: a longer ID must be refused up
+        front, not fail its owner's honest upload as a foreign contract."""
+        wl, service, _, airline, _, _ = scenario
+        long_id = "contract-0123456789"
+        with pytest.raises(ContractError):
+            service.register_contract(Contract(
+                contract_id=long_id, data_owners=("airline",),
+                recipient="screening-office", permitted_predicate="key = key",
+            ))
+        with pytest.raises(ContractError):
+            airline.encrypt_upload(long_id, wl.left)
+
+    def test_sixteen_byte_contract_id_round_trips(self, scenario):
+        wl, service, _, airline, _, _ = scenario
+        full_id = "C-0123456789abcd"  # exactly the 16-byte header
+        service.register_contract(Contract(
+            contract_id=full_id, data_owners=("airline",),
+            recipient="screening-office", permitted_predicate="key = key",
+        ))
+        ciphertexts = airline.encrypt_upload(full_id, wl.left)
+        assert service.ingest_upload(
+            "airline", full_id, wl.left.schema, ciphertexts
+        ) == len(wl.left)
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("algorithm", ["algorithm4", "algorithm5", "algorithm6"])

@@ -73,8 +73,8 @@ class TestCatalog:
         assert len(set(codes)) == len(codes)
 
     def test_contract_ids_fit_the_sixteen_byte_header(self):
-        # Party.encrypt_upload ljust-pads contract IDs to 16 bytes; a longer
-        # ID would silently truncate the header comparison.
+        # The service refuses contract IDs longer than the 16-byte header
+        # every uploaded tuple carries.
         for spec in list_scenarios():
             for request in spec.plan(seed=0, requests=4):
                 assert len(request.contract_id.encode()) <= 16
@@ -133,9 +133,9 @@ class TestDeterminism:
                     != _tables_digest(spec.name, 1))
 
     def test_build_tables_identical_across_process_boundary(self):
-        # The parallel executor regenerates scenario inputs in worker
-        # processes; string seeding hashes with SHA-512, so the draw must be
-        # identical there.
+        # Load generators rebuild scenario inputs in another process (the
+        # served-join benchmark's client does); string seeding hashes with
+        # SHA-512, so the draw must be identical there.
         names = [spec.name for spec in list_scenarios()][:3]
         with ProcessPoolExecutor(max_workers=1) as pool:
             for name in names:

@@ -9,9 +9,9 @@ compares against the set of executable lines extracted from each module's
 compiled code objects (``co_lines``), which is the same universe coverage.py
 uses for statement coverage.
 
-Caveats (shared with a plain ``pytest --cov`` run): child processes of the
-multiprocess cluster executor are not traced, and the tracer adds roughly an
-order of magnitude of wall-clock overhead.
+Caveats (shared with a plain ``pytest --cov`` run): child processes the
+suite spawns are not traced, and the tracer adds roughly an order of
+magnitude of wall-clock overhead.
 
 Usage::
 
